@@ -51,7 +51,7 @@ pub use condense::{CondensedElement, CondensedView};
 pub use config::{SchedulerKind, SpArchConfig};
 pub use cycle::{simulate_round, CycleRoundReport};
 pub use fetch::{ColumnFetcher, DistanceListBuilder, FetchPipeline};
-pub use pipeline::{kway_merge_fold, kway_merge_fold_into, CostParams, RoundCost};
+pub use pipeline::{kway_merge_fold, kway_merge_fold_into, CostParams, RoundCost, RowAccumulator};
 pub use prefetch::{PrefetchConfig, PrefetchStats, ReplacementPolicy, RowPrefetcher};
 pub use report::{PerfSummary, SimReport};
 pub use roofline::{Roofline, RooflinePoint};

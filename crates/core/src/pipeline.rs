@@ -1,9 +1,14 @@
 //! Round execution: the multiply → merge-tree → adder/zero-eliminator →
 //! writer pipeline (paper §II-E, Figure 10), and its per-round cost model.
 //!
-//! The functional half ([`kway_merge_fold`]) produces bit-exact merged
-//! streams (validated against the cycle-level `sparch_engine::MergeTree`
-//! in integration tests). The timing half ([`RoundCost`]) reproduces the
+//! The functional half produces bit-exact merged streams in two
+//! equivalent ways. [`kway_merge_fold`] is the reference: a `BinaryHeap`
+//! merge in `(coordinate, stream index, position)` order, validated
+//! against the cycle-level `sparch_engine::MergeTree` in integration
+//! tests. [`RowAccumulator`] is the simulator's fold: it walks the
+//! streams one output row at a time and performs the same additions in
+//! the same order, so its output, bit for bit, and its add count equal
+//! the heap's. The timing half ([`RoundCost`]) reproduces the
 //! simulator's per-round cycle estimate: a round is bound either by DRAM
 //! bandwidth or by the merge tree's root throughput, plus startup
 //! latencies (DRAM access, tree pipeline fill, look-ahead FIFO fill).
@@ -12,64 +17,6 @@ use serde::{Deserialize, Serialize};
 use sparch_engine::MergeItem;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// One pending entry of the k-way merge heap: `(coordinate, stream
-/// index, position within stream)`. Tuple order makes ties resolve by
-/// stream index then position — the same order a left-to-right merge
-/// tree folds duplicates in.
-pub(crate) type MergeHeapEntry = Reverse<(u64, usize, usize)>;
-
-/// The allocation-reusing core of the k-way merge: streams are looked up
-/// by index through `stream` (so callers can merge out of heterogeneous
-/// storage without building a slice of references), output is appended to
-/// `out` (cleared first), and the heap's backing storage is borrowed from
-/// `heap_buf` and returned to it — after warm-up, a call with
-/// sufficiently-sized buffers performs no heap allocation.
-pub(crate) fn kway_merge_fold_with<'s, L>(
-    num_streams: usize,
-    stream: L,
-    out: &mut Vec<MergeItem>,
-    heap_buf: &mut Vec<MergeHeapEntry>,
-) -> u64
-where
-    L: Fn(usize) -> &'s [MergeItem],
-{
-    out.clear();
-    heap_buf.clear();
-    let mut total = 0usize;
-    for k in 0..num_streams {
-        let s = stream(k);
-        debug_assert!(
-            sparch_engine::item::is_sorted(s),
-            "input {k} is not sorted by coordinate"
-        );
-        total += s.len();
-        if !s.is_empty() {
-            heap_buf.push(Reverse((s[0].coord, k, 0)));
-        }
-    }
-    out.reserve(total);
-    // `BinaryHeap::from` heapifies the vector in place (no allocation),
-    // and `into_vec` hands the storage back with its capacity intact.
-    let mut heap: BinaryHeap<MergeHeapEntry> = BinaryHeap::from(std::mem::take(heap_buf));
-    let mut adds = 0u64;
-    while let Some(Reverse((coord, k, pos))) = heap.pop() {
-        let s = stream(k);
-        let item = s[pos];
-        match out.last_mut() {
-            Some(last) if last.coord == coord => {
-                last.value += item.value;
-                adds += 1;
-            }
-            _ => out.push(item),
-        }
-        if pos + 1 < s.len() {
-            heap.push(Reverse((s[pos + 1].coord, k, pos + 1)));
-        }
-    }
-    *heap_buf = heap.into_vec();
-    adds
-}
 
 /// Merges `k` sorted streams into one, folding duplicate coordinates
 /// (adder slice) and dropping nothing else. Returns the stream and the
@@ -94,15 +41,195 @@ pub fn kway_merge_fold(streams: &[&[MergeItem]]) -> (Vec<MergeItem>, u64) {
 /// (cleared first), so repeated merges can reuse one allocation. Returns
 /// the number of additions performed.
 ///
-/// The simulator's round hot path drives this through [`crate::SimScratch`],
-/// which also recycles the merge heap's backing storage; after a warm-up
-/// run the per-round merge performs no heap allocation at all.
+/// Entries pop in `(coordinate, stream index, position)` order, so ties
+/// resolve by stream index then position — the same order a
+/// left-to-right merge tree folds duplicates in.
 ///
 /// # Panics
 ///
 /// Panics in debug builds if an input stream is not sorted by coordinate.
 pub fn kway_merge_fold_into(streams: &[&[MergeItem]], out: &mut Vec<MergeItem>) -> u64 {
-    kway_merge_fold_with(streams.len(), |k| streams[k], out, &mut Vec::new())
+    out.clear();
+    let mut heap = BinaryHeap::with_capacity(streams.len());
+    for (k, s) in streams.iter().enumerate() {
+        debug_assert!(
+            sparch_engine::item::is_sorted(s),
+            "input {k} is not sorted by coordinate"
+        );
+        if let Some(first) = s.first() {
+            heap.push(Reverse((first.coord, k, 0usize)));
+        }
+    }
+    out.reserve(streams.iter().map(|s| s.len()).sum());
+    let mut adds = 0u64;
+    while let Some(Reverse((coord, k, pos))) = heap.pop() {
+        let s = streams[k];
+        let item = s[pos];
+        match out.last_mut() {
+            Some(last) if last.coord == coord => {
+                last.value += item.value;
+                adds += 1;
+            }
+            _ => out.push(item),
+        }
+        if let Some(next) = s.get(pos + 1) {
+            heap.push(Reverse((next.coord, k, pos + 1)));
+        }
+    }
+    adds
+}
+
+/// The row-wise merge fold: a dense, generation-stamped accumulator over
+/// one output row at a time.
+///
+/// For each output row, in increasing order, the fold walks the streams
+/// in index order and folds each stream's segment of that row into the
+/// accumulator: the first touch of a column *sets* its value, later
+/// touches *add*. The touched columns are then sorted and emitted. A
+/// coordinate's contributions are therefore summed in `(stream index,
+/// position)` order — exactly the order [`kway_merge_fold`] pops them
+/// in — so the output is bit-identical to the heap's (including `-0.0`
+/// first values and exact-zero cancellations, which stay explicit) and
+/// the add count is equal. The fold costs one stamp check per element
+/// and a sort of each row's distinct columns, not a heap pop and push
+/// per element.
+///
+/// All buffers are kept across calls, and the stamp is a `u64` that only
+/// grows, so slots dirtied by one row never alias a later row and reuse
+/// needs no clearing. Once warm for a given fan-in, column bound and row
+/// width, a fold performs no heap allocation.
+///
+/// ```
+/// use sparch_core::{kway_merge_fold, RowAccumulator};
+/// use sparch_engine::MergeItem;
+///
+/// let s1 = [MergeItem::new(0, 3, 1.0), MergeItem::new(1, 0, 2.0)];
+/// let s2 = [MergeItem::new(0, 1, 4.0), MergeItem::new(0, 3, 0.5)];
+/// let mut acc = RowAccumulator::new();
+/// let mut out = Vec::new();
+/// let adds = acc.fold_into(&[&s1, &s2], 4, &mut out);
+/// assert_eq!((out, adds), kway_merge_fold(&[&s1, &s2]));
+/// ```
+#[derive(Debug, Default)]
+pub struct RowAccumulator {
+    /// Dense value per column of the row in flight.
+    values: Vec<f64>,
+    /// Generation of the row that last touched each column; `0` is never
+    /// a live generation, so fresh slots are always stale.
+    stamps: Vec<u64>,
+    /// Monotone per-row generation counter.
+    generation: u64,
+    /// Columns touched by the row in flight (unsorted until emit).
+    touched: Vec<u32>,
+    /// Read position of each stream.
+    cursors: Vec<usize>,
+}
+
+impl RowAccumulator {
+    /// Creates an empty accumulator; buffers grow on first use.
+    pub fn new() -> Self {
+        RowAccumulator::default()
+    }
+
+    /// Folds `streams` into `out` (cleared first) and returns the number
+    /// of additions performed. Every column index must be below `cols`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element's column is `>= cols`, and in debug builds if
+    /// an input stream is not sorted by coordinate.
+    pub fn fold_into(
+        &mut self,
+        streams: &[&[MergeItem]],
+        cols: usize,
+        out: &mut Vec<MergeItem>,
+    ) -> u64 {
+        self.fold_with(streams.len(), |k| streams[k], cols, out)
+    }
+
+    /// [`RowAccumulator::fold_into`] over streams looked up by index
+    /// through `stream`, so the simulator can fold straight out of its
+    /// scratch storage without building a slice of references.
+    pub(crate) fn fold_with<'s, L>(
+        &mut self,
+        num_streams: usize,
+        stream: L,
+        cols: usize,
+        out: &mut Vec<MergeItem>,
+    ) -> u64
+    where
+        L: Fn(usize) -> &'s [MergeItem],
+    {
+        if self.values.len() < cols {
+            self.values.resize(cols, 0.0);
+            self.stamps.resize(cols, 0);
+        }
+        out.clear();
+        self.cursors.clear();
+        self.cursors.resize(num_streams, 0);
+
+        // `u64::MAX` is above every packed row (`coord >> 32 < 2^32`).
+        const NO_ROW: u64 = u64::MAX;
+        let mut row = NO_ROW;
+        let mut total = 0usize;
+        for k in 0..num_streams {
+            let s = stream(k);
+            debug_assert!(
+                sparch_engine::item::is_sorted(s),
+                "input {k} is not sorted by coordinate"
+            );
+            total += s.len();
+            if let Some(first) = s.first() {
+                row = row.min(first.coord >> 32);
+            }
+        }
+        out.reserve(total);
+
+        let RowAccumulator {
+            values,
+            stamps,
+            generation,
+            touched,
+            cursors,
+        } = self;
+        let mut adds = 0u64;
+        while row != NO_ROW {
+            *generation += 1;
+            let g = *generation;
+            let mut next = NO_ROW;
+            for (k, cursor) in cursors.iter_mut().enumerate() {
+                let s = stream(k);
+                let mut pos = *cursor;
+                while let Some(item) = s.get(pos) {
+                    let r = item.coord >> 32;
+                    if r != row {
+                        next = next.min(r);
+                        break;
+                    }
+                    let c = item.coord as u32 as usize;
+                    if stamps[c] == g {
+                        values[c] += item.value;
+                        adds += 1;
+                    } else {
+                        stamps[c] = g;
+                        values[c] = item.value;
+                        touched.push(c as u32);
+                    }
+                    pos += 1;
+                }
+                *cursor = pos;
+            }
+            touched.sort_unstable();
+            let base = row << 32;
+            out.extend(touched.iter().map(|&c| MergeItem {
+                coord: base | c as u64,
+                value: values[c as usize],
+            }));
+            touched.clear();
+            row = next;
+        }
+        adds
+    }
 }
 
 /// Inputs to the per-round cycle model.

@@ -10,7 +10,7 @@
 //!
 //! * the per-leaf multiplied `MergeItem` streams,
 //! * the per-round merged outputs (partial results),
-//! * the merge heap's backing storage,
+//! * the row-wise merge fold's dense accumulator ([`RowAccumulator`](crate::RowAccumulator)),
 //! * the prefetch stage's access lists and per-round MatB accounting.
 //!
 //! Buffers are indexed by leaf/round id, so re-running the **same** task
@@ -20,7 +20,7 @@
 //! buffers simply grow to the high-water mark and stay there.
 
 use crate::condense::CondensedElement;
-use crate::pipeline::MergeHeapEntry;
+use crate::pipeline::RowAccumulator;
 use sparch_engine::MergeItem;
 
 /// Per-round MatB accounting produced by the prefetch stage and consumed
@@ -59,8 +59,9 @@ pub struct SimScratch {
     /// Merged output of round `r` (index = round id; the last round's
     /// entry is the final result stream consumed by the writeback stage).
     pub(crate) round_outputs: Vec<Vec<MergeItem>>,
-    /// Backing storage for the k-way merge heap.
-    pub(crate) merge_heap: Vec<MergeHeapEntry>,
+    /// The round merge's row accumulator (sized to the result's column
+    /// count).
+    pub(crate) row_fold: RowAccumulator,
     /// Guard: which round outputs have been consumed by a later round
     /// (every spill is read back exactly once; a malformed plan that
     /// references a round twice must fail loudly, not double-merge).
@@ -107,7 +108,6 @@ impl SimScratch {
     pub(crate) fn prepare_execute(&mut self, num_leaves: usize, num_rounds: usize) {
         Self::clear_pool(&mut self.mult_streams, num_leaves);
         Self::clear_pool(&mut self.round_outputs, num_rounds);
-        self.merge_heap.clear();
         self.round_consumed.clear();
         self.round_consumed.resize(num_rounds, false);
     }

@@ -14,7 +14,10 @@
 //!    multiplies its fresh columns, streams them together with re-fetched
 //!    partial results through the merge tree, folds duplicate coordinates
 //!    and accounts traffic/cycles/activity; per-round cycles are the max
-//!    of the memory-bound and compute-bound times plus startup latencies,
+//!    of the memory-bound and compute-bound times plus startup latencies.
+//!    The fold itself runs row by row through a dense
+//!    [`RowAccumulator`](crate::RowAccumulator), bit-identical to the
+//!    reference heap merge [`kway_merge_fold`](crate::kway_merge_fold),
 //! 4. **writeback** ([`SpArchSim::writeback_stage`]) — the final stream
 //!    becomes the result matrix and the cost models produce the report.
 //!
@@ -29,7 +32,7 @@
 
 use crate::condense::{CondensedElement, CondensedView};
 use crate::config::SpArchConfig;
-use crate::pipeline::{kway_merge_fold_with, CostParams, RoundCost};
+use crate::pipeline::{CostParams, RoundCost};
 use crate::prefetch::{PrefetchStats, RowPrefetcher};
 use crate::report::{PerfSummary, SimReport};
 use crate::sched::{MergePlan, PlanNode};
@@ -307,7 +310,7 @@ impl SpArchSim {
         let SimScratch {
             mult_streams,
             round_outputs,
-            merge_heap,
+            row_fold,
             round_matb,
             round_consumed,
             ..
@@ -365,19 +368,20 @@ impl SpArchSim {
                 .traffic
                 .record(TrafficCategory::PartialRead, partial_read_bytes);
 
-            // Merge this round's streams into its output buffer. The
-            // split keeps earlier rounds' outputs readable while the
-            // current round's buffer is written.
+            // Merge this round's streams into its output buffer, row by
+            // row in plan order (bit-identical to the reference heap
+            // merge). The split keeps earlier rounds' outputs readable
+            // while the current round's buffer is written.
             let (earlier, rest) = round_outputs.split_at_mut(round_idx);
             let out = &mut rest[0];
-            let adds = kway_merge_fold_with(
+            let adds = row_fold.fold_with(
                 children.len(),
                 |c| match children[c] {
                     PlanNode::Leaf(i) => mult_streams[i].as_slice(),
                     PlanNode::Round(r) => earlier[r].as_slice(),
                 },
+                b.cols(),
                 out,
-                merge_heap,
             );
 
             let out_bytes = if is_final {

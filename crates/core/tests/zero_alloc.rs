@@ -2,8 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up run with the same task, `SpArchSim::execute_stage` must not
-//! allocate at all — every stream buffer, the merge heap's storage and
-//! the per-round accounting live in the reused [`SimScratch`].
+//! allocate at all — every stream buffer, the row-wise merge fold's
+//! accumulator and the per-round accounting live in the reused
+//! [`SimScratch`].
 //!
 //! This file holds exactly one test so no neighbouring test's
 //! allocations can race the counter.
@@ -43,31 +44,42 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn execute_stage_stops_allocating_after_warmup() {
-    // A multi-round schedule (2 tree layers = 4-way merge) exercises
-    // leaf streams, partial spills and re-reads — the whole hot path.
+    // Multi-round schedules exercise leaf streams, partial spills and
+    // re-reads — the whole hot path. A 2-layer tree (4-way merge) gives
+    // many rounds over condensed columns; the condensing ablation gives
+    // one leaf per original column, so far more and shorter streams.
     let a = gen::rmat_graph500(256, 8, 42);
-    let sim = SpArchSim::new(SpArchConfig::default().with_tree_layers(2));
-    let mut scratch = SimScratch::new();
+    let configs = [
+        SpArchConfig::default().with_tree_layers(2),
+        SpArchConfig::default().without_condensing(),
+    ];
+    for config in configs {
+        let sim = SpArchSim::new(config);
+        let mut scratch = SimScratch::new();
 
-    let warm = sim.run_with_scratch(&a, &a, &mut scratch);
-    assert!(warm.perf.rounds > 1, "need a multi-round schedule");
-    sim.run_with_scratch(&a, &a, &mut scratch);
+        let warm = sim.run_with_scratch(&a, &a, &mut scratch);
+        assert!(warm.perf.rounds > 1, "need a multi-round schedule");
+        sim.run_with_scratch(&a, &a, &mut scratch);
 
-    // Plan and prefetch may allocate (schedulers, prefetch bookkeeping);
-    // the round-execute stage must not.
-    let plan = sim.plan_stage(&a, &a);
-    let prefetch = sim.prefetch_stage(&plan, &a, &mut scratch);
+        // Plan and prefetch may allocate (schedulers, prefetch
+        // bookkeeping); the round-execute stage must not.
+        let plan = sim.plan_stage(&a, &a);
+        let prefetch = sim.prefetch_stage(&plan, &a, &mut scratch);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let totals = sim.execute_stage(&plan, &a, &mut scratch);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocations, 0,
-        "execute stage performed {allocations} allocations after warm-up"
-    );
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let totals = sim.execute_stage(&plan, &a, &mut scratch);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocations,
+            0,
+            "execute stage performed {allocations} allocations after warm-up \
+             (condensing: {})",
+            sim.config().condensing
+        );
 
-    // The measured run still produces the exact result.
-    let report = sim.writeback_stage(&a, &a, &plan, prefetch, totals, &scratch);
-    assert_eq!(report.result(), warm.result());
-    assert_eq!(report.perf, warm.perf);
+        // The measured run still produces the exact result.
+        let report = sim.writeback_stage(&a, &a, &plan, prefetch, totals, &scratch);
+        assert_eq!(report.result(), warm.result());
+        assert_eq!(report.perf, warm.perf);
+    }
 }

@@ -12,9 +12,10 @@
 //! * [`ShardPool`] — a std-only scoped worker pool (the build environment
 //!   is offline, so no rayon): dynamic work claiming over an atomic
 //!   cursor, results returned by submission index,
-//! * [`SharedQueue`] — the worker-side job-claiming protocol for pools
-//!   fed by a channel (the streaming pipeline's stages and the
-//!   distributed shard worker both speak it),
+//! * [`queue::bounded`] — the pre-sized `Mutex` + `Condvar` job queue
+//!   ([`QueueSender`] / [`SharedQueue`]) every stage of the streaming
+//!   pipeline is fed through; it neither allocates per item nor per
+//!   blocked thread,
 //! * [`Workload`] — the unit of a sweep: a name, a `build` producing the
 //!   inputs on the worker, and a pure `run` to a serializable record
 //!   ([`FnWorkload`] assembles one from closures),
@@ -44,5 +45,5 @@ pub mod queue;
 pub mod workload;
 
 pub use pool::{env_threads, Permits, ShardPool, THREADS_ENV};
-pub use queue::SharedQueue;
+pub use queue::{bounded, QueueSender, SharedQueue};
 pub use workload::{FnWorkload, ParallelRunner, Timed, Workload};

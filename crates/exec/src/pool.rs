@@ -64,7 +64,7 @@ impl ShardPool {
     /// `f(worker_index)` to completion, and blocks until all of them
     /// return. Unlike [`ShardPool::scoped_map`], the work arrives however
     /// `f` wants it to — the streaming pipeline's multiply stage drives
-    /// this with workers that pull panel pairs from a bounded channel
+    /// this with workers that pull panel pairs from a bounded queue
     /// until the producing stage closes it.
     ///
     /// With one thread, `f(0)` runs on the calling thread (no spawn).
@@ -160,12 +160,12 @@ impl Default for ShardPool {
 
 /// A counting permit gate — the std-only stand-in for a semaphore.
 ///
-/// Producer stages acquire a permit before publishing a result into an
-/// unbounded queue and the consumer releases it when the result is
-/// consumed, which restores the backpressure a bounded channel would
-/// have provided while leaving the queue itself select-free: the
-/// streaming pipeline funnels several producer kinds into one event
-/// channel and bounds each producer with its own `Permits`.
+/// Producer stages acquire a permit before publishing a result into a
+/// shared queue and the consumer releases it when the result is
+/// consumed. That bounds each producer kind separately while the queue
+/// itself stays select-free: the streaming pipeline funnels several
+/// producer kinds into one event queue, bounds the multiply workers with
+/// a `Permits`, and sizes the queue to the sum of the producer bounds.
 #[derive(Debug)]
 pub struct Permits {
     state: Mutex<usize>,

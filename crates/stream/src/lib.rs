@@ -10,7 +10,7 @@
 //!
 //! This crate brings the paper's partial-matrix discipline to the
 //! software layer as a **staged dataflow pipeline** — three concurrent
-//! stages connected by bounded channels, so disk ingest, panel
+//! stages connected by bounded queues, so disk ingest, panel
 //! multiplies, spill write-back and merge rounds overlap instead of
 //! alternating (see the [`pipeline`-module](crate) docs for the stage
 //! diagram). A [`StreamingExecutor`]:
@@ -22,7 +22,7 @@
 //!    operand is ever materialized whole; boundaries come from the
 //!    uniform or nnz-balanced splitter ([`PanelBalance`]),
 //! 2. **multiply stage** — `sparch_exec::ShardPool` workers pull pairs
-//!    from the bounded channel and multiply them while the reader keeps
+//!    from the bounded job queue and multiply them while the reader keeps
 //!    reading,
 //! 3. **merge/spill stage** — folds arriving partials through a
 //!    multi-round k-way merge whose round order comes from the **same**

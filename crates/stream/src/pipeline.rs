@@ -23,7 +23,7 @@
 //!
 //! The reader streams panel *pairs* — `A[:, p]` plus the matching
 //! `B[p, :]` — so neither operand is ever materialized whole; the job
-//! channel bound (`threads + 1` pairs) caps how much of either operand
+//! queue bound (`threads + 1` pairs) caps how much of either operand
 //! is resident. Multiply workers pull pairs and publish partials into
 //! the orchestrator's event queue, gated by a [`Permits`] counter so at
 //! most `threads` un-inserted partials exist at once. The orchestrator
@@ -49,18 +49,17 @@
 //! never what any round computes.
 
 use crate::merge::{merge_sources, MergeScratch, PartialSource};
-use crate::spill::{raw_size, write_partial, SpillFile};
-use crate::store::{PartialStore, SpillJob, StoreStats};
+use crate::spill::{raw_size, write_partial};
+use crate::store::{PartialStore, SpillJob, SpillLink, SpillOutcome, StoreStats, SPILL_WINDOW};
 use crate::{StreamConfig, StreamError};
 use serde::{Deserialize, Serialize};
 use sparch_core::sched::{huffman_plan, MergePlan, PlanNode};
-use sparch_exec::{Permits, ShardPool, SharedQueue};
+use sparch_exec::{bounded, Permits, QueueSender, ShardPool, SharedQueue};
 use sparch_obs::{Counter, Recorder, ThreadRecorder};
 use sparch_sparse::{algo, Csr, Index};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Mutex;
 
 /// One panel pair flowing from the reader into the multiply stage:
@@ -171,10 +170,14 @@ struct RoundJob {
 }
 
 /// Everything the producer stages funnel into the orchestrator. One
-/// unbounded channel (std has no `select`) carries them all; each
-/// producer kind is individually bounded — multiplies by the [`Permits`]
-/// gate, rounds by the dispatch cap, spills by the writer's
-/// `sync_channel(1)` — so the queue never grows past a few entries.
+/// queue carries them all, and each producer kind is individually
+/// bounded: multiplies by the [`Permits`] gate, rounds by the dispatch
+/// cap, the writer by coalescing its wake-ups to one pending
+/// `SpillsLanded`, and each stage-closed event is sent once. The queue's
+/// capacity is the sum of those bounds ([`event_capacity`]), so no
+/// producer ever blocks on it. The orchestrator waits only on this queue
+/// and, with the spill window full, on the writer, which needs nothing
+/// from the orchestrator to land a write — so no wait forms a cycle.
 enum Event {
     /// A multiply worker finished leaf `leaf`.
     MultiplyDone {
@@ -194,13 +197,10 @@ enum Event {
         kernel_seconds: f64,
         triples: u64,
     },
-    /// The writer thread finished (or failed) the spill of node `id`;
-    /// on success carries the spill file, its raw-equivalent bytes and
-    /// the write time.
-    SpillDone {
-        id: usize,
-        outcome: Result<(SpillFile, u64, f64), StreamError>,
-    },
+    /// The writer thread finished (or failed) at least one spill since
+    /// the orchestrator last collected; the outcomes wait in the store's
+    /// [`SpillLink`].
+    SpillsLanded,
     /// Every multiply worker has exited: all `MultiplyDone` events are
     /// already queued ahead of this, and the plan weights are published.
     MultiplyStageClosed,
@@ -218,10 +218,21 @@ struct ReaderOutcome {
     error: Option<StreamError>,
 }
 
+/// Capacity of the event queue: one slot per un-consumed multiply
+/// result (`threads` permits), per in-flight round (the dispatch cap is
+/// `merge_threads`), the writer's one pending wake-up, and the two
+/// stage-closed events.
+fn event_capacity(threads: usize, merge_threads: usize) -> usize {
+    threads + merge_threads + 3
+}
+
 /// The shared plumbing the orchestrator drives: owning `round_tx` means
 /// dropping these links is what lets the merge workers exit.
 struct OrchestratorLinks<'a> {
-    round_tx: SyncSender<RoundJob>,
+    round_tx: QueueSender<RoundJob>,
+    /// Raised by the writer when it sends a `SpillsLanded` wake-up;
+    /// cleared by the orchestrator before it collects.
+    spill_wake: &'a AtomicBool,
     weights_slot: &'a Mutex<Option<Vec<u64>>>,
     inflight: &'a AtomicUsize,
     gate: &'a Permits,
@@ -240,7 +251,7 @@ struct OrchestratorLinks<'a> {
 /// the trace (span taxonomy: `read-panel` on the reader lane;
 /// `multiply-job` wrapping `kernel` + `publish-wait` on each multiply
 /// lane; `merge-round` on merge lanes; `spill-write` on the writer lane;
-/// `orchestrate` on the orchestrator lane; `claim-wait` measures channel
+/// `orchestrate` on the orchestrator lane; `claim-wait` measures queue
 /// waits outside every busy figure). With a disabled recorder the lanes
 /// allocate nothing.
 pub(crate) fn run<I>(
@@ -260,35 +271,38 @@ where
     let ways = config.merge_ways.max(2);
     let mut store = PartialStore::new(config.budget, spill_dir, config.spill_codec);
 
-    // Stage plumbing. The job channel is bounded (at most `threads + 1`
-    // pairs queued for multiply) and each event producer is bounded (see
-    // `Event`), which is what keeps the pipeline's transient memory a
-    // constant factor of the panel size.
-    let (job_tx, job_rx) = sync_channel::<MultiplyJob>(pool.threads() + 1);
-    let (evt_tx, evt_rx) = channel::<Event>();
+    // Stage plumbing: every queue is a pre-sized `sparch_exec` queue, so
+    // no send, claim or blocked thread allocates. The job queue is
+    // bounded (at most `threads + 1` pairs queued for multiply) and each
+    // event producer is bounded (see `Event`), which is what keeps the
+    // pipeline's transient memory a constant factor of the panel size.
+    let (job_tx, job_rx) = bounded::<MultiplyJob>(pool.threads() + 1);
+    let (evt_tx, evt_rx) = bounded::<Event>(event_capacity(pool.threads(), merge_pool.threads()));
     // Round jobs never outnumber merge workers (the dispatch cap), so
     // this capacity means the orchestrator never blocks sending one.
-    let (round_tx, round_rx) = sync_channel::<RoundJob>(merge_pool.threads());
-    // Spill write-back: the orchestrator blocks only when a write is
-    // already in progress *and* one is queued — the natural backpressure
-    // that keeps at most two partial-sized buffers with the writer.
-    let (spill_tx, spill_rx) = sync_channel::<SpillJob>(1);
-    store.set_spill_sink(spill_tx);
+    let (round_tx, round_rx) = bounded::<RoundJob>(merge_pool.threads());
+    // Spill write-back: at most `SPILL_WINDOW` writes are with the writer
+    // (one in progress, one queued) — the store waits for one to land
+    // before handing over another, which keeps at most two partial-sized
+    // buffers with the writer and means neither queue can fill.
+    let (spill_tx, spill_rx) = bounded::<SpillJob>(SPILL_WINDOW);
+    let (landed_tx, landed_rx) = bounded::<SpillOutcome>(SPILL_WINDOW);
+    store.set_spill_sink(SpillLink {
+        jobs: spill_tx,
+        landed: landed_rx,
+    });
+    let spill_wake = AtomicBool::new(false);
 
-    // The job/round receivers become shared claim queues so any worker
-    // in a stage can take the next job. Each stage *closes* its queue
-    // once every worker is done — even by panic: the job-channel
-    // disconnect is what unblocks a reader mid-send; without the
-    // unconditional close a worker panic would wedge it instead of
-    // propagating at join.
-    let job_rx = SharedQueue::new(job_rx);
-    let round_rx = SharedQueue::new(round_rx);
+    // Any worker in a stage can claim the next job. Each stage *closes*
+    // its queue once every worker is done — even by panic: the close is
+    // what unblocks a reader mid-send; without the unconditional close a
+    // worker panic would wedge it instead of propagating at join.
     // Jobs in the submitted-to-consumed window (reader sent the pair,
     // orchestrator has not yet received the partial); the overlap
     // counters sample this.
     let inflight = AtomicUsize::new(0);
-    // Bounds un-consumed multiply results (the event channel itself is
-    // unbounded): a worker takes a permit to publish, the orchestrator
+    // Bounds un-consumed multiply results (one of the event queue's
+    // producer bounds): a worker takes a permit to publish, the orchestrator
     // returns it on consumption.
     let gate = Permits::new(pool.threads());
     // Raised by the orchestrator on its first failure so the reader
@@ -320,22 +334,17 @@ where
         let multiply_evt = evt_tx.clone();
         let job_rx_ref = &job_rx;
         let workers = scope.spawn(move || {
-            let evt_proto = Mutex::new(multiply_evt);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.scoped_workers(|_| {
-                    let tx = evt_proto.lock().expect("event sender poisoned").clone();
                     let lane = recorder.thread("multiply");
-                    multiply_worker(job_rx_ref, &tx, gate_ref, lane);
+                    multiply_worker(job_rx_ref, &multiply_evt, gate_ref, lane);
                 });
             }));
-            // Close the job channel and announce the stage end, panic or
-            // not (see the channel setup above). The Closed event is what
+            // Close the job queue and announce the stage end, panic or
+            // not (see the queue setup above). The Closed event is what
             // tells the orchestrator no more partials can arrive.
             job_rx_ref.close();
-            let _ = evt_proto
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .send(Event::MultiplyStageClosed);
+            let _ = multiply_evt.send(Event::MultiplyStageClosed);
             if let Err(panic) = outcome {
                 std::panic::resume_unwind(panic);
             }
@@ -344,19 +353,14 @@ where
         let merge_evt = evt_tx.clone();
         let round_rx_ref = &round_rx;
         let mergers = scope.spawn(move || {
-            let evt_proto = Mutex::new(merge_evt);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 merge_pool.scoped_workers(|_| {
-                    let tx = evt_proto.lock().expect("event sender poisoned").clone();
                     let lane = recorder.thread("merge");
-                    merge_worker(round_rx_ref, &tx, a_rows, b_cols, lane);
+                    merge_worker(round_rx_ref, &merge_evt, a_rows, b_cols, lane);
                 });
             }));
             round_rx_ref.close();
-            let _ = evt_proto
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .send(Event::MergeStageClosed);
+            let _ = merge_evt.send(Event::MergeStageClosed);
             if let Err(panic) = outcome {
                 std::panic::resume_unwind(panic);
             }
@@ -369,11 +373,20 @@ where
             bytes: recorder.counter("stream.spill_bytes_written"),
             raw_bytes: recorder.counter("stream.spill_bytes_raw_equivalent"),
         };
-        let writer =
-            scope.spawn(move || spill_writer(spill_rx, writer_evt, writer_lane, spill_counters));
+        let wake_ref = &spill_wake;
+        let writer = scope.spawn(move || {
+            spill_writer(
+                spill_rx,
+                landed_tx,
+                writer_evt,
+                wake_ref,
+                writer_lane,
+                spill_counters,
+            )
+        });
 
-        // The orchestrator holds only the receiver: if every stage dies,
-        // the disconnect (rather than a deadlock) ends the loop.
+        // The orchestrator holds only the claim side: if every stage
+        // dies, the hang-up (rather than a deadlock) ends the loop.
         drop(evt_tx);
 
         let mut merge = MergeStage::new(
@@ -388,6 +401,7 @@ where
             &evt_rx,
             OrchestratorLinks {
                 round_tx,
+                spill_wake: &spill_wake,
                 weights_slot: &weights_slot,
                 inflight: &inflight,
                 gate: &gate,
@@ -413,7 +427,7 @@ fn reader_stage<I>(
     a_rows: usize,
     inner_dim: usize,
     b_cols: usize,
-    job_tx: SyncSender<MultiplyJob>,
+    job_tx: QueueSender<MultiplyJob>,
     weights_slot: &Mutex<Option<Vec<u64>>>,
     inflight: &AtomicUsize,
     abort: &AtomicBool,
@@ -539,7 +553,7 @@ fn validate_pair(
     Ok(())
 }
 
-/// One multiply worker: pulls jobs until the reader closes the channel,
+/// One multiply worker: pulls jobs until the reader hangs up the queue,
 /// multiplies, and publishes partials (with the time they took) into the
 /// event queue, one permit per un-consumed result.
 ///
@@ -550,7 +564,7 @@ fn validate_pair(
 /// only the occupied rows recorded at slicing time.
 fn multiply_worker(
     job_rx: &SharedQueue<MultiplyJob>,
-    evt_tx: &Sender<Event>,
+    evt_tx: &QueueSender<Event>,
     gate: &Permits,
     mut lane: ThreadRecorder,
 ) {
@@ -592,12 +606,12 @@ fn multiply_worker(
     }
 }
 
-/// One merge worker: pulls round jobs until the orchestrator closes the
-/// channel, runs the k-way kernel (reusing its scratch lanes across
+/// One merge worker: pulls round jobs until the orchestrator hangs up
+/// the queue, runs the k-way kernel (reusing its scratch lanes across
 /// rounds), and reports the result.
 fn merge_worker(
     round_rx: &SharedQueue<RoundJob>,
-    evt_tx: &Sender<Event>,
+    evt_tx: &QueueSender<Event>,
     a_rows: usize,
     b_cols: usize,
     mut lane: ThreadRecorder,
@@ -628,20 +642,24 @@ fn merge_worker(
 }
 
 /// The spill writer: encodes and writes each handed-off partial, then
-/// reports the outcome (never blocking — the event channel is
-/// unbounded), so the orchestrator keeps scheduling while spills land.
+/// hands the outcome back to the store and wakes the orchestrator. It
+/// never blocks on either: the landed queue holds the whole spill window,
+/// and at most one wake-up is pending in the event queue at a time, so
+/// the orchestrator keeps scheduling while spills land.
 fn spill_writer(
-    spill_rx: Receiver<SpillJob>,
-    evt_tx: Sender<Event>,
+    spill_rx: SharedQueue<SpillJob>,
+    landed_tx: QueueSender<SpillOutcome>,
+    evt_tx: QueueSender<Event>,
+    wake: &AtomicBool,
     mut lane: ThreadRecorder,
     counters: SpillCounters,
 ) {
-    while let Ok(SpillJob {
+    while let Some(SpillJob {
         id,
         path,
         csr,
         codec,
-    }) = spill_rx.recv()
+    }) = spill_rx.claim()
     {
         let raw = raw_size(&csr);
         let span = lane.begin("stream", "spill-write");
@@ -662,7 +680,13 @@ fn spill_writer(
         // The partial's only copy dies here, before the completion is
         // announced — the store already stopped counting its bytes.
         drop(csr);
-        if evt_tx.send(Event::SpillDone { id, outcome }).is_err() {
+        if landed_tx.send((id, outcome)).is_err() {
+            break;
+        }
+        // One wake-up covers every write that lands before the
+        // orchestrator collects: it clears `wake` *before* collecting, so
+        // a write landing after the collection sends a fresh one.
+        if !wake.swap(true, Ordering::SeqCst) && evt_tx.send(Event::SpillsLanded).is_err() {
             break;
         }
     }
@@ -694,7 +718,7 @@ struct MergeStage {
     b_cols: usize,
     ways: usize,
     /// Dispatch cap: rounds in flight never exceed the merge worker
-    /// count (also the round channel's capacity, so sends never block).
+    /// count (also the round queue's capacity, so sends never block).
     max_rounds_inflight: usize,
     plan: Option<MergePlan>,
     arrived: Vec<bool>,
@@ -763,9 +787,9 @@ impl MergeStage {
     /// store inserts and round dispatches. On failure it raises `abort`
     /// so the reader stops ingesting, then keeps draining so the other
     /// stages can always finish — no early return, no deadlock.
-    fn run(&mut self, evt_rx: &Receiver<Event>, links: OrchestratorLinks<'_>) {
+    fn run(&mut self, evt_rx: &SharedQueue<Event>, links: OrchestratorLinks<'_>) {
         while !self.finished() {
-            let Ok(event) = evt_rx.recv() else {
+            let Some(event) = evt_rx.claim() else {
                 // Every producer died without announcing itself — a bug,
                 // but one that must surface as an error, not a hang.
                 if self.failure.is_none() {
@@ -854,8 +878,9 @@ impl MergeStage {
                     }
                 }
             }
-            Event::SpillDone { id, outcome } => {
-                match self.store.complete_spill(id, outcome) {
+            Event::SpillsLanded => {
+                links.spill_wake.store(false, Ordering::SeqCst);
+                match self.store.collect_spills() {
                     Err(e) => {
                         if self.failure.is_none() {
                             self.failure = Some(e);
@@ -899,7 +924,7 @@ impl MergeStage {
             }
             Event::MergeStageClosed => {
                 // Normally sent only after the orchestrator drops the
-                // round channel — seeing it mid-run means the stage died
+                // round queue — seeing it mid-run means the stage died
                 // with rounds unaccounted for.
                 self.merge_closed = true;
                 if self.rounds_inflight > 0 && self.failure.is_none() {

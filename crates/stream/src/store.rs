@@ -17,10 +17,10 @@
 
 use crate::spill::{raw_size, write_partial, SpillFile, SpillReader};
 use crate::{MemoryBudget, SpillCodec, StreamError};
+use sparch_exec::{QueueSender, SharedQueue};
 use sparch_sparse::Csr;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::mpsc::SyncSender;
 
 /// Running spill/residency telemetry, folded into the executor's report.
 #[derive(Debug, Default, Clone)]
@@ -50,6 +50,26 @@ pub(crate) struct SpillJob {
     pub path: PathBuf,
     pub csr: Csr,
     pub codec: SpillCodec,
+}
+
+/// Spill writes the writer thread holds at once: one being written plus
+/// one queued. A spill beyond that first waits for a write to land.
+pub(crate) const SPILL_WINDOW: usize = 2;
+
+/// The writer thread's outcome for the spill of one node: the spill
+/// file, its raw-equivalent bytes and the write time, or the I/O error.
+pub(crate) type SpillOutcome = (usize, Result<(SpillFile, u64, f64), StreamError>);
+
+/// The store's ends of the writer-thread link. Both queues hold
+/// [`SPILL_WINDOW`] items, and the store keeps at most that many writes
+/// in flight, so neither side ever blocks on a full queue.
+#[derive(Debug)]
+pub(crate) struct SpillLink {
+    /// Spill jobs to the writer.
+    pub jobs: QueueSender<SpillJob>,
+    /// Outcomes back from the writer, collected by
+    /// [`PartialStore::collect_spills`] (or by a spill waiting for room).
+    pub landed: SharedQueue<SpillOutcome>,
 }
 
 /// One merge-round input, as handed to the k-way merge: either a resident
@@ -84,7 +104,7 @@ pub(crate) struct PartialStore {
     /// Where spill writes go when write-back is offloaded to the writer
     /// thread; `None` writes inline (the seed behavior, kept for unit
     /// tests and as the no-pipeline fallback).
-    sink: Option<SyncSender<SpillJob>>,
+    sink: Option<SpillLink>,
     /// Nodes whose spill write is in flight on the writer thread: not
     /// resident, not yet readable. [`PartialStore::available`] is false
     /// until [`PartialStore::complete_spill`] lands.
@@ -118,9 +138,9 @@ impl PartialStore {
     }
 
     /// Routes spill writes through the dedicated writer thread from now
-    /// on. The caller must feed every resulting [`SpillJob`] outcome back
-    /// via [`PartialStore::complete_spill`].
-    pub fn set_spill_sink(&mut self, sink: SyncSender<SpillJob>) {
+    /// on. The caller must call [`PartialStore::collect_spills`] whenever
+    /// the writer signals that outcomes have landed.
+    pub fn set_spill_sink(&mut self, sink: SpillLink) {
         self.sink = Some(sink);
     }
 
@@ -142,10 +162,24 @@ impl PartialStore {
         self.spilling.len()
     }
 
+    /// Records every writer-thread outcome that has landed so far. Each
+    /// success makes its node readable; the first I/O failure is returned
+    /// for the orchestrator to report (later outcomes are still recorded).
+    pub fn collect_spills(&mut self) -> Result<(), StreamError> {
+        let mut first_error = Ok(());
+        while let Some((id, outcome)) = self.sink.as_ref().and_then(|l| l.landed.try_claim()) {
+            let recorded = self.complete_spill(id, outcome);
+            if first_error.is_ok() {
+                first_error = recorded;
+            }
+        }
+        first_error
+    }
+
     /// Records the writer thread's outcome for node `id`: on success the
     /// node becomes readable (and the byte/time counters land); an I/O
-    /// failure is returned for the orchestrator to report.
-    pub fn complete_spill(
+    /// failure is returned.
+    fn complete_spill(
         &mut self,
         id: usize,
         outcome: Result<(SpillFile, u64, f64), StreamError>,
@@ -289,15 +323,26 @@ impl PartialStore {
         }
         let path = self.spill_dir.join(format!("partial-{id}.bin"));
         self.stats.spill_writes += 1;
-        if let Some(sink) = self.sink.clone() {
+        if self.sink.is_some() {
+            let gone = || StreamError::Io("spill writer thread is gone".into());
+            // Keep the window: wait for a write to land first. The writer
+            // needs nothing from this thread to finish one, so the wait
+            // always ends.
+            while self.spilling.len() >= SPILL_WINDOW {
+                let landed = self.sink.as_ref().and_then(|l| l.landed.claim());
+                let (done, outcome) = landed.ok_or_else(gone)?;
+                self.complete_spill(done, outcome)?;
+            }
             let codec = self.codec;
-            sink.send(SpillJob {
-                id,
-                path,
-                csr,
-                codec,
-            })
-            .map_err(|_| StreamError::Io("spill writer thread is gone".into()))?;
+            let link = self.sink.as_ref().expect("checked above");
+            link.jobs
+                .send(SpillJob {
+                    id,
+                    path,
+                    csr,
+                    codec,
+                })
+                .map_err(|_| gone())?;
             self.spilling.insert(id);
             self.stats.spill_writeback_offloaded += 1;
             return Ok(());

@@ -3,8 +3,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sparch::core::{
-    kway_merge_fold, kway_merge_fold_into, CondensedView, MergePlan, SchedulerKind, SpArchConfig,
-    SpArchSim,
+    kway_merge_fold, kway_merge_fold_into, CondensedView, MergePlan, RowAccumulator, SchedulerKind,
+    SpArchConfig, SpArchSim,
 };
 use sparch::engine::{item, merge_step, ComparatorMerger, HierarchicalMerger, MergeItem};
 use sparch::sparse::gen::arb;
@@ -39,6 +39,35 @@ fn sorted_dup_stream() -> impl Strategy<Value = Vec<MergeItem>> {
             })
             .collect()
     })
+}
+
+/// Strategy: a stream over a few rows and columns, sorted by coordinate
+/// with duplicates allowed. Values are small integers, so sums cancel to
+/// exact zero often, and the draw `4` stands for `-0.0`, so negative
+/// zeros appear both as first values and as addends. With six rows and
+/// at most a dozen entries, most rows are present in only some streams.
+fn sorted_rows_dup_stream() -> impl Strategy<Value = Vec<MergeItem>> {
+    vec((0u32..6, 0u32..10, -3i64..=4), 0..12).prop_map(|mut cells| {
+        cells.sort_by_key(|&(r, c, _)| (r, c));
+        cells
+            .into_iter()
+            .map(|(r, c, v)| MergeItem::new(r, c, if v == 4 { -0.0 } else { v as f64 }))
+            .collect()
+    })
+}
+
+/// Asserts `out` equals the heap fold's output bit for bit.
+fn assert_bit_identical(out: &[MergeItem], expected: &[MergeItem]) {
+    assert_eq!(out.len(), expected.len());
+    for (o, e) in out.iter().zip(expected) {
+        assert_eq!(o.coord, e.coord);
+        assert_eq!(
+            o.value.to_bits(),
+            e.value.to_bits(),
+            "value at {:#x}",
+            o.coord
+        );
+    }
 }
 
 /// `BinaryHeap`-based reference for the k-way merge-fold: push *every*
@@ -319,5 +348,40 @@ mod more_properties {
                 plan.estimated_internal_weight() <= total * plan.rounds.len() as u64
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn row_fold_is_bit_identical_to_heap_fold(
+        streams in prop_oneof![
+            vec(sorted_dup_stream(), 1..9),
+            vec(sorted_rows_dup_stream(), 1..257),
+        ],
+        empty_at in 0usize..256,
+    ) {
+        // An empty stream at an arbitrary position among the others.
+        let mut streams = streams;
+        let at = empty_at % (streams.len() + 1);
+        streams.insert(at, Vec::new());
+        streams.truncate(256);
+        let refs: Vec<&[MergeItem]> = streams.iter().map(|s| s.as_slice()).collect();
+        let (expected, expected_adds) = kway_merge_fold(&refs);
+
+        let mut acc = RowAccumulator::new();
+        let mut out = vec![MergeItem { coord: 7, value: 1.0 }];
+        let adds = acc.fold_into(&refs, 64, &mut out);
+        assert_bit_identical(&out, &expected);
+        prop_assert_eq!(adds, expected_adds);
+
+        // A warm accumulator (stale stamps from the fold above) folds the
+        // streams in reverse plan order exactly like the heap does.
+        let reversed: Vec<&[MergeItem]> = refs.iter().rev().copied().collect();
+        let (expected_rev, expected_rev_adds) = kway_merge_fold(&reversed);
+        let adds_rev = acc.fold_into(&reversed, 64, &mut out);
+        assert_bit_identical(&out, &expected_rev);
+        prop_assert_eq!(adds_rev, expected_rev_adds);
     }
 }
